@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/obs"
@@ -81,20 +82,16 @@ func (b *DayBlock) MinuteRange(m int) (lo, hi int) {
 	return int(b.Offsets[m]), int(b.Offsets[m+1])
 }
 
-// defaultPhaseWeights is the lazily built 1440-minute diurnal profile
-// shared by campaigns that do not override PhaseWeights.
-var defaultPhaseWeights []float64
-
-func phaseWeightTable() []float64 {
-	if defaultPhaseWeights == nil {
-		w := make([]float64, 24*60)
-		for m := range w {
-			w[m] = netsim.DayWeight(m)
-		}
-		defaultPhaseWeights = w
+// phaseWeightTable returns the lazily built 1440-minute diurnal profile
+// shared by campaigns that do not override PhaseWeights. Campaigns on
+// concurrent goroutines may be the first to ask, hence the Once.
+var phaseWeightTable = sync.OnceValue(func() []float64 {
+	w := make([]float64, 24*60)
+	for m := range w {
+		w[m] = netsim.DayWeight(m)
 	}
-	return defaultPhaseWeights
-}
+	return w
+})
 
 // genScratch is one worker's reusable draw buffers: the batch kernels
 // fill them once per minute, so the steady state of a campaign worker

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -264,29 +263,14 @@ func (t *demandTile) reset() {
 	}
 }
 
-// add rasterizes one session with slicing.AddSession's uniform spread:
-// volume at rate bytes/second over the minutes the session overlaps.
-// start is seconds from the tile origin; maxCols caps the spread at the
-// trace horizon exactly as AddSession clamps to its Minutes.
+// add rasterizes one session with slicing.SpreadMinutes, the kernel
+// behind slicing.AddSession. start is seconds from the tile origin;
+// maxCols caps the spread at the trace horizon exactly as AddSession
+// clamps to its Minutes. An invalid session adds nothing.
 func (t *demandTile) add(cat int, start, dur, vol float64, maxCols int) {
-	if dur <= 0 || vol <= 0 {
-		return
+	if row, err := slicing.SpreadMinutes(t.rows[cat], maxCols, start, dur, vol); err == nil {
+		t.rows[cat] = row
 	}
-	rate := vol / dur
-	end := start + dur
-	row := t.rows[cat]
-	for m := int(start / 60); m < maxCols; m++ {
-		lo := math.Max(start, float64(m)*60)
-		hi := math.Min(end, float64(m+1)*60)
-		if hi <= lo {
-			break
-		}
-		for m >= len(row) {
-			row = append(row, 0)
-		}
-		row[m] += rate * (hi - lo)
-	}
-	t.rows[cat] = row
 }
 
 // merge folds the tile into the trace at day d. Tiles merge strictly
@@ -712,7 +696,9 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 	var catVolCount [littrafgen.NumCategories]float64
 	moveProb := env.Sim.Config.MoveProb
 	meanDwell := env.Sim.Config.MeanDwell
+	var cols ruSessions
 	for r := 0; r < rus; r++ {
+		cols.reset()
 		for m := 0; m < minutes; m++ {
 			for _, k := range shared[r][m].services {
 				ci := catalogIdx[k]
@@ -733,16 +719,16 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 						dur = dwell
 					}
 				}
-				start := float64(m)*60 + realRng.Float64()*60
-				if err := realSeries.AddSession(duOf(r), start, dur, vol); err != nil {
-					return nil, err
-				}
+				cols.add(float64(m)*60+realRng.Float64()*60, dur, vol)
 				realVolSum += vol
 				realVolCount++
 				cat := littrafgen.CategoryOf(prof)
 				catVolSum[cat] += vol
 				catVolCount[cat]++
 			}
+		}
+		if err := realSeries.AddSessions(duOf(r), cols.start, cols.duration, cols.volume); err != nil {
+			return nil, err
 		}
 	}
 	realRun, err := vran.Run(ps, realSeries)
@@ -842,16 +828,18 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 			return
 		}
 		srng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(si)))
+		var cols ruSessions
 		for r := 0; r < rus; r++ {
+			cols.reset()
 			for m := 0; m < minutes; m++ {
 				for _, k := range shared[r][m].services {
 					vol, dur := strat.f(k, srng)
-					start := float64(m)*60 + srng.Float64()*60
-					if err := series.AddSession(duOf(r), start, dur, vol); err != nil {
-						stratErrs[si] = err
-						return
-					}
+					cols.add(float64(m)*60+srng.Float64()*60, dur, vol)
 				}
+			}
+			if err := series.AddSessions(duOf(r), cols.start, cols.duration, cols.volume); err != nil {
+				stratErrs[si] = err
+				return
 			}
 		}
 		run, err := vran.Run(ps, series)
@@ -895,6 +883,22 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// ruSessions holds one RU's sessions in columns, reused across RUs, so
+// each RU reaches its DU's throughput series as one batch.
+type ruSessions struct {
+	start, duration, volume []float64
+}
+
+func (c *ruSessions) reset() {
+	c.start, c.duration, c.volume = c.start[:0], c.duration[:0], c.volume[:0]
+}
+
+func (c *ruSessions) add(start, duration, volume float64) {
+	c.start = append(c.start, start)
+	c.duration = append(c.duration, duration)
+	c.volume = append(c.volume, volume)
 }
 
 func pickIdx(probs []float64, rng *rand.Rand) int {

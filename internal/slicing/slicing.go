@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mobiletraffic/internal/mathx"
@@ -55,21 +56,64 @@ func (d *DemandTrace) AddSession(s SessionSpec) error {
 	if s.Service < 0 || s.Service >= d.NumServices {
 		return fmt.Errorf("slicing: service %d out of range [0, %d)", s.Service, d.NumServices)
 	}
-	if s.Duration <= 0 || s.Volume <= 0 {
-		return fmt.Errorf("slicing: session needs positive duration and volume, got %v/%v",
-			s.Duration, s.Volume)
+	_, err := SpreadMinutes(d.Demand[s.Service], d.Minutes, s.Start, s.Duration, s.Volume)
+	return err
+}
+
+// SpreadMinutes is the minute-grid rasterizer. It adds a session's
+// volume, spread at volume/duration bytes per second over [start,
+// start+duration) seconds, to row, whose column m holds minute m. The
+// parts of the session before time 0 and past horizon minutes are
+// dropped. row grows with zeros up to the last column the session
+// touches, and is returned as append returns its slice. A session with
+// a non-finite start or a duration or volume that is not positive and
+// finite is an error and leaves row unchanged.
+//
+// The session splits into a partial head minute, a run of full minutes
+// and a partial tail minute. A full minute takes rate*60, which is what
+// a per-minute overlap evaluation gives there bit for bit (the overlap
+// is exactly 60 s), so the result equals that evaluation exactly.
+func SpreadMinutes(row []float64, horizon int, start, duration, volume float64) ([]float64, error) {
+	if math.IsNaN(start) || math.IsInf(start, 0) ||
+		!(duration > 0) || math.IsInf(duration, 0) || !(volume > 0) || math.IsInf(volume, 0) {
+		return row, fmt.Errorf("slicing: session needs finite start and positive finite duration and volume, got %v/%v/%v",
+			start, duration, volume)
 	}
-	rate := s.Volume / s.Duration // bytes per second
-	end := s.Start + s.Duration
-	for m := int(s.Start / 60); m < d.Minutes; m++ {
-		lo := math.Max(s.Start, float64(m)*60)
-		hi := math.Min(end, float64(m+1)*60)
-		if hi <= lo {
-			break
-		}
-		d.Demand[s.Service][m] += rate * (hi - lo)
+	if start >= float64(horizon)*60 {
+		return row, nil
 	}
-	return nil
+	rate := volume / duration // bytes per second
+	end := start + duration
+	// int(x/60) is floor(x/60) for x >= 0: the nearest float below a
+	// multiple of 60 is too far below it for x/60 to round up onto it.
+	m := int(math.Max(start, 0) / 60)
+	head, headEnd := math.Max(start, float64(m)*60), math.Min(end, float64(m+1)*60)
+	if headEnd <= head {
+		return row, nil
+	}
+	// tail is the first minute after the head that end does not cover
+	// fully; minutes m+1 .. tail-1 are full.
+	tail := horizon
+	if end < float64(horizon)*60 {
+		tail = max(int(end/60), m+1)
+	}
+	n := tail
+	if tail < horizon && end > float64(tail)*60 {
+		n = tail + 1
+	}
+	if n > len(row) {
+		old := len(row)
+		row = slices.Grow(row, n-old)[:n]
+		clear(row[old:])
+	}
+	row[m] += rate * (headEnd - head)
+	for k := m + 1; k < tail; k++ {
+		row[k] += rate * 60
+	}
+	if n > tail {
+		row[tail] += rate * (end - float64(tail)*60)
+	}
+	return row, nil
 }
 
 // AddSessions adds a batch of sessions, stopping at the first invalid

@@ -14,55 +14,76 @@ import (
 // PackBestFit assigns DU loads to PSs with the best-fit-decreasing
 // heuristic: each load goes to the active server it fills tightest.
 func PackBestFit(ps PSModel, duLoads []float64) PackResult {
-	loads := clampLoads(ps, duLoads)
-	sort.Sort(sort.Reverse(sort.Float64Slice(loads)))
-	var bins []float64
-	for _, l := range loads {
-		if l == 0 {
-			continue
-		}
-		best, bestSlack := -1, math.Inf(1)
-		for i := range bins {
-			slack := ps.CapacityMbps - bins[i] - l
-			if slack >= 0 && slack < bestSlack {
-				best, bestSlack = i, slack
-			}
-		}
-		if best < 0 {
-			bins = append(bins, l)
-		} else {
-			bins[best] += l
-		}
-	}
-	res := PackResult{ActivePS: len(bins)}
-	for _, b := range bins {
-		res.PowerWatts += ps.Power(b)
-	}
-	return res
+	return new(packer).pack(BestFitDecreasing, ps, duLoads)
 }
 
 // PackNextFit is the weakest common heuristic: loads go into the
 // current server until it overflows, then a new one opens. It serves as
 // a deliberately poor orchestration baseline for energy ablations.
 func PackNextFit(ps PSModel, duLoads []float64) PackResult {
-	loads := clampLoads(ps, duLoads)
-	var bins []float64
-	cur := -1
-	for _, l := range loads {
-		if l == 0 {
-			continue
+	return new(packer).pack(NextFit, ps, duLoads)
+}
+
+// packer holds the clamped-load and bin buffers of one packing. RunWith
+// keeps one across every slot, so orchestration allocates nothing per
+// slot.
+type packer struct {
+	loads, bins []float64
+}
+
+// pack places duLoads with heuristic h and prices the placement. The
+// decreasing heuristics sort ascending and walk the loads backwards:
+// the same descending order a reverse sort gives, without boxing.
+func (p *packer) pack(h Heuristic, ps PSModel, duLoads []float64) PackResult {
+	p.loads = appendClamped(p.loads[:0], ps, duLoads)
+	p.bins = p.bins[:0]
+	if h == NextFit {
+		cur := -1
+		for _, l := range p.loads {
+			if l == 0 {
+				continue
+			}
+			if cur < 0 || p.bins[cur]+l > ps.CapacityMbps {
+				p.bins = append(p.bins, 0)
+				cur = len(p.bins) - 1
+			}
+			p.bins[cur] += l
 		}
-		if cur < 0 || bins[cur]+l > ps.CapacityMbps {
-			bins = append(bins, 0)
-			cur = len(bins) - 1
+	} else {
+		sort.Float64s(p.loads)
+		for k := len(p.loads) - 1; k >= 0; k-- {
+			if l := p.loads[k]; l != 0 {
+				p.place(h, ps, l)
+			}
 		}
-		bins[cur] += l
 	}
-	res := PackResult{ActivePS: len(bins)}
-	for _, b := range bins {
+	res := PackResult{ActivePS: len(p.bins)}
+	for _, b := range p.bins {
 		res.PowerWatts += ps.Power(b)
 	}
 	return res
+}
+
+// place puts one load into the bin it leaves least slack in (best fit)
+// or else the first bin it fits (first fit), opening a new bin if none
+// fits.
+func (p *packer) place(h Heuristic, ps PSModel, l float64) {
+	best, bestSlack := -1, math.Inf(1)
+	for i, b := range p.bins {
+		if h != BestFitDecreasing {
+			if b+l <= ps.CapacityMbps {
+				best = i
+				break
+			}
+		} else if slack := ps.CapacityMbps - b - l; slack >= 0 && slack < bestSlack {
+			best, bestSlack = i, slack
+		}
+	}
+	if best < 0 {
+		p.bins = append(p.bins, l)
+	} else {
+		p.bins[best] += l
+	}
 }
 
 // LowerBoundPS returns a valid minimum number of active servers for
@@ -73,7 +94,7 @@ func PackNextFit(ps PSModel, duLoads []float64) PackResult {
 // alone, instances made of loads just above capacity/2 drive OPT — and
 // FFD — arbitrarily far past it.
 func LowerBoundPS(ps PSModel, duLoads []float64) int {
-	loads := clampLoads(ps, duLoads)
+	loads := appendClamped(nil, ps, duLoads)
 	var total float64
 	var big int
 	for _, l := range loads {
@@ -99,7 +120,7 @@ func LowerBoundPower(ps PSModel, duLoads []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	loads := clampLoads(ps, duLoads)
+	loads := appendClamped(nil, ps, duLoads)
 	var total float64
 	for _, l := range loads {
 		total += l
@@ -107,8 +128,8 @@ func LowerBoundPower(ps PSModel, duLoads []float64) float64 {
 	return float64(n)*ps.IdleWatts + total/ps.CapacityMbps*(ps.MaxWatts-ps.IdleWatts)
 }
 
-func clampLoads(ps PSModel, duLoads []float64) []float64 {
-	out := make([]float64, 0, len(duLoads))
+// appendClamped appends the loads to dst, each clamped to [0, capacity].
+func appendClamped(dst []float64, ps PSModel, duLoads []float64) []float64 {
 	for _, l := range duLoads {
 		if l < 0 {
 			l = 0
@@ -116,9 +137,9 @@ func clampLoads(ps PSModel, duLoads []float64) []float64 {
 		if l > ps.CapacityMbps {
 			l = ps.CapacityMbps
 		}
-		out = append(out, l)
+		dst = append(dst, l)
 	}
-	return out
+	return dst
 }
 
 // Heuristic selects a packing policy for Run.
@@ -145,18 +166,11 @@ func (h Heuristic) String() string {
 
 // PackWith dispatches to the selected heuristic.
 func PackWith(h Heuristic, ps PSModel, duLoads []float64) PackResult {
-	switch h {
-	case BestFitDecreasing:
-		return PackBestFit(ps, duLoads)
-	case NextFit:
-		return PackNextFit(ps, duLoads)
-	default:
-		return Pack(ps, duLoads)
-	}
+	return new(packer).pack(h, ps, duLoads)
 }
 
 // RunWith executes the per-slot orchestration with the chosen
-// heuristic.
+// heuristic. One gather buffer and one packer serve every slot.
 func RunWith(h Heuristic, ps PSModel, series *ThroughputSeries) (*RunResult, error) {
 	if series == nil {
 		return nil, errNilSeries
@@ -165,8 +179,14 @@ func RunWith(h Heuristic, ps PSModel, series *ThroughputSeries) (*RunResult, err
 		ActivePS: make([]float64, series.Slots),
 		PowerW:   make([]float64, series.Slots),
 	}
+	loads := make([]float64, series.DUs)
+	// Each load opens at most one bin, so neither buffer grows.
+	p := packer{loads: make([]float64, 0, series.DUs), bins: make([]float64, 0, series.DUs)}
 	for ts := 0; ts < series.Slots; ts++ {
-		res := PackWith(h, ps, series.LoadsAt(ts))
+		for du, row := range series.Series {
+			loads[du] = row[ts]
+		}
+		res := p.pack(h, ps, loads)
 		out.ActivePS[ts] = float64(res.ActivePS)
 		out.PowerW[ts] = res.PowerWatts
 	}

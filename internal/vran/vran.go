@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"mobiletraffic/internal/mathx"
 )
@@ -57,39 +56,7 @@ type PackResult struct {
 // the linear power model. DU loads above a single PS capacity are
 // clamped to capacity (the DU saturates its server).
 func Pack(ps PSModel, duLoads []float64) PackResult {
-	loads := make([]float64, 0, len(duLoads))
-	for _, l := range duLoads {
-		if l < 0 {
-			l = 0
-		}
-		if l > ps.CapacityMbps {
-			l = ps.CapacityMbps
-		}
-		loads = append(loads, l)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(loads)))
-	var bins []float64
-	for _, l := range loads {
-		if l == 0 {
-			continue
-		}
-		placed := false
-		for i := range bins {
-			if bins[i]+l <= ps.CapacityMbps {
-				bins[i] += l
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bins = append(bins, l)
-		}
-	}
-	res := PackResult{ActivePS: len(bins)}
-	for _, b := range bins {
-		res.PowerWatts += ps.Power(b)
-	}
-	return res
+	return new(packer).pack(FirstFitDecreasing, ps, duLoads)
 }
 
 // ThroughputSeries holds per-DU served throughput in Mbps at one-second
@@ -100,6 +67,12 @@ type ThroughputSeries struct {
 	// Series[du][ts] is the aggregate throughput (Mbps) DU du serves
 	// during time slot ts.
 	Series [][]float64
+
+	// step and live are AddSessions' scratch rows, all zero between
+	// calls: the signed throughput and the count of full-slot runs that
+	// start (+) or end (-) at each slot.
+	step []float64
+	live []int32
 }
 
 // NewThroughputSeries allocates an all-zero series.
@@ -114,36 +87,99 @@ func NewThroughputSeries(dus, slots int) (*ThroughputSeries, error) {
 	return s, nil
 }
 
+// maxMbps bounds one session's throughput: far above any radio link,
+// and low enough that the running sum of any batch stays finite.
+const maxMbps = 1e200
+
 // AddSession adds a session served by the DU: constant throughput
 // volume/duration (bytes/s, converted to Mbps) over [start, start+dur),
-// clamped to the horizon.
+// clamped to the horizon. It is AddSessions with one session.
 func (s *ThroughputSeries) AddSession(du int, start, duration, volumeBytes float64) error {
+	return s.AddSessions(du, []float64{start}, []float64{duration}, []float64{volumeBytes})
+}
+
+// AddSessions adds a batch of sessions served by the DU, one per index
+// of the equal-length start, duration and volume (bytes) columns. Each
+// session is validated first, so an error leaves the series unchanged.
+//
+// Every session splits into a partial head slot, a run of full slots
+// and a partial tail slot. Head and tail are added directly, exactly as
+// a per-slot evaluation would. A full slot carries the session's whole
+// Mbps, so each run is only marked in the scratch rows: +Mbps and one
+// more live run at its first slot, -Mbps and one fewer just past its
+// last. One prefix sum over the slots the batch touched then adds every
+// run, for O(sessions + slots) work instead of O(sessions x slots).
+// Where no run is live the sum restarts at exactly 0, so slots no
+// session covers stay exactly as they were. A single session's result
+// is bit-identical to the per-slot evaluation; in a batch the order of
+// additions changes, and with it the last bits.
+func (s *ThroughputSeries) AddSessions(du int, start, duration, volume []float64) error {
 	if du < 0 || du >= s.DUs {
 		return fmt.Errorf("vran: DU %d out of range [0, %d)", du, s.DUs)
 	}
-	if duration <= 0 || volumeBytes <= 0 {
-		return fmt.Errorf("vran: session needs positive duration/volume, got %v/%v", duration, volumeBytes)
+	if len(duration) != len(start) || len(volume) != len(start) {
+		return fmt.Errorf("vran: session columns of unequal length %d/%d/%d", len(start), len(duration), len(volume))
 	}
-	mbps := volumeBytes / duration * 8 / 1e6
-	end := start + duration
-	for ts := int(math.Max(start, 0)); ts < s.Slots; ts++ {
-		lo := math.Max(start, float64(ts))
-		hi := math.Min(end, float64(ts+1))
-		if hi <= lo {
-			break
+	for i := range start {
+		if math.IsNaN(start[i]) || math.IsInf(start[i], 0) ||
+			!(duration[i] > 0) || math.IsInf(duration[i], 0) || !(volume[i] > 0) || math.IsInf(volume[i], 0) {
+			return fmt.Errorf("vran: session %d needs finite start and positive finite duration/volume, got %v/%v/%v",
+				i, start[i], duration[i], volume[i])
 		}
-		s.Series[du][ts] += mbps * (hi - lo)
+		if mbps := volume[i] / duration[i] * 8 / 1e6; !(mbps > 0 && mbps <= maxMbps) {
+			return fmt.Errorf("vran: session %d throughput %v Mbps outside (0, %g]", i, mbps, maxMbps)
+		}
 	}
+	if s.step == nil {
+		s.step = make([]float64, s.Slots+1)
+		s.live = make([]int32, s.Slots+1)
+	}
+	row := s.Series[du]
+	horizon := float64(s.Slots)
+	lo, hi := s.Slots, 0 // scratch slots this batch marked
+	for i, st := range start {
+		if st >= horizon {
+			continue
+		}
+		mbps := volume[i] / duration[i] * 8 / 1e6
+		end := st + duration[i]
+		t := int(math.Max(st, 0))
+		if st > float64(t) { // partial head slot
+			row[t] += mbps * (math.Min(end, float64(t+1)) - st)
+			t++
+		}
+		full := s.Slots // one past the last full slot
+		if end < horizon {
+			full = max(int(math.Max(end, 0)), t)
+		}
+		if full > t {
+			s.step[t] += mbps
+			s.live[t]++
+			s.step[full] -= mbps
+			s.live[full]--
+			lo, hi = min(lo, t), max(hi, full)
+		}
+		if full < s.Slots && end > float64(full) {
+			row[full] += mbps * (end - float64(full))
+		}
+	}
+	if lo >= hi {
+		return nil
+	}
+	var run float64
+	var live int32
+	for t := lo; t < hi; t++ {
+		run += s.step[t]
+		live += s.live[t]
+		if live == 0 {
+			run = 0
+			continue
+		}
+		row[t] += run
+	}
+	clear(s.step[lo : hi+1])
+	clear(s.live[lo : hi+1])
 	return nil
-}
-
-// LoadsAt returns the per-DU loads of one time slot.
-func (s *ThroughputSeries) LoadsAt(ts int) []float64 {
-	out := make([]float64, s.DUs)
-	for du := range s.Series {
-		out[du] = s.Series[du][ts]
-	}
-	return out
 }
 
 // RunResult is the orchestration outcome over a whole series.
@@ -158,21 +194,10 @@ func (r *RunResult) MeanPower() float64 { return mathx.Mean(r.PowerW) }
 // MeanActive returns the time-averaged number of active servers.
 func (r *RunResult) MeanActive() float64 { return mathx.Mean(r.ActivePS) }
 
-// Run executes the per-slot orchestration over the series.
+// Run executes the per-slot first-fit-decreasing orchestration over
+// the series.
 func Run(ps PSModel, series *ThroughputSeries) (*RunResult, error) {
-	if series == nil {
-		return nil, errNilSeries
-	}
-	out := &RunResult{
-		ActivePS: make([]float64, series.Slots),
-		PowerW:   make([]float64, series.Slots),
-	}
-	for ts := 0; ts < series.Slots; ts++ {
-		res := Pack(ps, series.LoadsAt(ts))
-		out.ActivePS[ts] = float64(res.ActivePS)
-		out.PowerW[ts] = res.PowerWatts
-	}
-	return out, nil
+	return RunWith(FirstFitDecreasing, ps, series)
 }
 
 // errNilSeries is shared by Run and RunWith.
