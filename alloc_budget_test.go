@@ -23,6 +23,9 @@ func TestTable2SlicingAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second slicing study")
 	}
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
 	env, err := experiments.NewEnv(experiments.Config{NumBS: 20, Days: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

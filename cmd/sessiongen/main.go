@@ -69,6 +69,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if err := set.Validate(); err != nil {
+			fatal(fmt.Errorf("%s: invalid parameter file:\n%w", *modelsPath, err))
+		}
 	} else {
 		fmt.Fprintln(os.Stderr, "fitting models on the bundled measurement simulation...")
 		var err error

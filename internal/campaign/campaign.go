@@ -548,8 +548,9 @@ func (st *runState) report() *Report {
 
 // merge folds the surviving shard collectors, in ascending shard
 // order, into one campaign collector; failed shards appear as skipped
-// partials in the merge report. Merging into a fresh collector keeps
-// every shard checkpoint immutable on disk.
+// partials in the merge report. The shard checkpoints on disk stay
+// immutable; the shard collectors in memory are consumed, their cells
+// moved into the campaign collector, so no cell is held twice.
 func (st *runState) merge(report *Report) (*probe.Collector, error) {
 	span := obs.StartSpan("campaign/merge")
 	defer span.End()

@@ -84,11 +84,38 @@ func (s *ModelSet) ByName(name string) (*ServiceModel, error) {
 	return nil, fmt.Errorf("core: model set has no service %q", name)
 }
 
+// Plausibility bounds Validate puts on released parameters. They sit
+// orders of magnitude above anything the paper measures, and exist so
+// that a hostile or corrupt parameter file cannot make the generator
+// allocate without bound or emit non-finite sessions.
+const (
+	// MaxArrivalRate caps an arrival class's daytime mean and spread,
+	// in sessions per minute: the paper's busiest BS decile peaks at 71.
+	// It bounds one generated minute to about ten times this many
+	// sessions (the night mode is capped at half the daytime mean).
+	MaxArrivalRate = 1e4
+	// MaxLogSigma caps every log10-domain spread, in decades: the volume
+	// components and the duration noise. The measurement grids span 8.5
+	// decades of volume and 5 of duration.
+	MaxLogSigma = 10
+	// MaxVolumePeaks caps the residual mixture components per service,
+	// ten times the fitted cap MaxPeaks.
+	MaxVolumePeaks = 10 * MaxPeaks
+	// MinAbsBeta and MaxAbsBeta bound the power-law exponent, whose
+	// fitted values lie near 1 (above it for streaming, below it for
+	// interactive services); generation inverts it, so a vanishing beta
+	// would overflow the duration.
+	MinAbsBeta = 1e-3
+	MaxAbsBeta = 1e3
+)
+
 // Validate checks that every released parameter tuple is usable for
-// generation: finite parameters, positive widths and prefactors, and
-// session shares inside [0, 1] that do not sum past one. A parameter
-// file that fails Validate would produce NaN volumes or unsampleable
-// distributions, so loaders should reject it outright.
+// generation: finite parameters, positive widths and prefactors,
+// session shares inside [0, 1] that do not sum past one, and rates,
+// spreads, exponents and component counts within the plausibility
+// bounds above. A parameter file that fails Validate would produce NaN
+// volumes, unsampleable distributions or unbounded minutes, so loaders
+// should reject it outright.
 func (s *ModelSet) Validate() error {
 	span := obs.StartSpan("validate")
 	defer span.End()
@@ -116,27 +143,30 @@ func (s *ModelSet) Validate() error {
 		if !finite(m.Volume.MainMu) {
 			bad("%s: non-finite volume mu %v", name, m.Volume.MainMu)
 		}
-		if !finite(m.Volume.MainSigma) || m.Volume.MainSigma <= 0 {
-			bad("%s: volume sigma %v not positive", name, m.Volume.MainSigma)
+		if !finite(m.Volume.MainSigma) || m.Volume.MainSigma <= 0 || m.Volume.MainSigma > MaxLogSigma {
+			bad("%s: volume sigma %v outside (0, %v]", name, m.Volume.MainSigma, MaxLogSigma)
 		}
 		if !finite(m.Volume.MaxVolume) || m.Volume.MaxVolume < 0 {
 			bad("%s: invalid max volume %v", name, m.Volume.MaxVolume)
 		}
+		if len(m.Volume.Peaks) > MaxVolumePeaks {
+			bad("%s: %d volume peaks, more than %d", name, len(m.Volume.Peaks), MaxVolumePeaks)
+		}
 		for j, p := range m.Volume.Peaks {
-			if !finite(p.K) || p.K <= 0 || !finite(p.Mu) || !finite(p.Sigma) || p.Sigma <= 0 {
+			if !finite(p.K) || p.K <= 0 || !finite(p.Mu) || !finite(p.Sigma) || p.Sigma <= 0 || p.Sigma > MaxLogSigma {
 				bad("%s: peak %d has invalid parameters (k=%v mu=%v sigma=%v)", name, j+1, p.K, p.Mu, p.Sigma)
 			}
 		}
 		if !finite(m.Duration.Alpha) || m.Duration.Alpha <= 0 {
 			bad("%s: power-law alpha %v not positive", name, m.Duration.Alpha)
 		}
-		if !finite(m.Duration.Beta) || m.Duration.Beta == 0 {
-			bad("%s: power-law beta %v not invertible", name, m.Duration.Beta)
+		if b := math.Abs(m.Duration.Beta); !finite(b) || b < MinAbsBeta || b > MaxAbsBeta {
+			bad("%s: power-law beta %v outside ±[%v, %v]", name, m.Duration.Beta, MinAbsBeta, MaxAbsBeta)
 		}
 		if math.IsInf(m.VolumeEMD, 0) || m.VolumeEMD < 0 {
 			bad("%s: invalid volume EMD %v", name, m.VolumeEMD)
 		}
-		if !finite(m.DurationNoise) || m.DurationNoise < 0 {
+		if !finite(m.DurationNoise) || m.DurationNoise < 0 || m.DurationNoise > MaxLogSigma {
 			bad("%s: invalid duration noise %v", name, m.DurationNoise)
 		}
 	}
@@ -148,8 +178,9 @@ func (s *ModelSet) Validate() error {
 			bad("arrival class %d: nil model", i+1)
 			continue
 		}
-		if !finite(a.PeakMu) || a.PeakMu < 0 || !finite(a.PeakSigma) || a.PeakSigma < 0 {
-			bad("arrival class %d: invalid daytime Gaussian (mu=%v sigma=%v)", i+1, a.PeakMu, a.PeakSigma)
+		if !finite(a.PeakMu) || a.PeakMu < 0 || a.PeakMu > MaxArrivalRate ||
+			!finite(a.PeakSigma) || a.PeakSigma < 0 || a.PeakSigma > MaxArrivalRate {
+			bad("arrival class %d: invalid daytime Gaussian (mu=%v sigma=%v, each must lie in [0, %v])", i+1, a.PeakMu, a.PeakSigma, MaxArrivalRate)
 		}
 		if !finite(a.OffShape) || a.OffShape <= 0 || !finite(a.OffScale) || a.OffScale <= 0 {
 			bad("arrival class %d: invalid nighttime Pareto (shape=%v scale=%v)", i+1, a.OffShape, a.OffScale)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mobiletraffic/internal/mathx"
@@ -262,6 +263,18 @@ func TestModelSetValidate(t *testing.T) {
 		{"negative arrival mu", func(s *ModelSet) { s.Arrivals[0].PeakMu = -2 }},
 		{"zero Pareto scale", func(s *ModelSet) { s.Arrivals[0].OffScale = 0 }},
 		{"empty set", func(s *ModelSet) { s.Services = nil }},
+		{"arrival mu past the rate bound", func(s *ModelSet) { s.Arrivals[0].PeakMu = 1e11 }},
+		{"arrival sigma past the rate bound", func(s *ModelSet) { s.Arrivals[0].PeakSigma = 2 * MaxArrivalRate }},
+		{"volume sigma past the spread bound", func(s *ModelSet) { s.Services[1].Volume.MainSigma = 1e300 }},
+		{"peak sigma past the spread bound", func(s *ModelSet) { s.Services[0].Volume.Peaks[0].Sigma = 11 }},
+		{"duration noise past the spread bound", func(s *ModelSet) { s.Services[0].DurationNoise = 1e5 }},
+		{"vanishing beta", func(s *ModelSet) { s.Services[1].Duration.Beta = 1e-300 }},
+		{"huge beta", func(s *ModelSet) { s.Services[1].Duration.Beta = -1e9 }},
+		{"too many volume peaks", func(s *ModelSet) {
+			for len(s.Services[0].Volume.Peaks) <= MaxVolumePeaks {
+				s.Services[0].Volume.Peaks = append(s.Services[0].Volume.Peaks, VolumeComponent{K: 0.01, Mu: 4, Sigma: 0.1})
+			}
+		}},
 	}
 	for _, tc := range cases {
 		s := validSet()
@@ -284,4 +297,83 @@ func TestValidateAcceptsFittedSet(t *testing.T) {
 	if err := set.Validate(); err != nil {
 		t.Errorf("freshly fitted set must validate: %v", err)
 	}
+}
+
+// TestValidateBoundsGeneratedMinute is the regression for an arrival
+// rate that passed Validate and then made Generator.Minute allocate
+// terabytes: a rate past MaxArrivalRate is rejected, and a set at the
+// bounds generates a minute of bounded size.
+func TestValidateBoundsGeneratedMinute(t *testing.T) {
+	s := validSet()
+	s.Arrivals[0].PeakMu = 1e11
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "arrival class 1") {
+		t.Fatalf("PeakMu 1e11: err = %v", err)
+	}
+	s.Arrivals[0].PeakMu, s.Arrivals[0].PeakSigma = MaxArrivalRate, MaxArrivalRate
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		out, err := gen.Minute(0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) > 20*MaxArrivalRate {
+			t.Fatalf("one minute at the rate bound generated %d sessions", len(out))
+		}
+	}
+}
+
+// FuzzModelSetFromJSON drives the released-parameter surface end to
+// end: parse, validate, and for an accepted set generate one daytime
+// and one nighttime minute of every arrival class. An accepted set must
+// never panic, allocate without bound or emit a non-finite session.
+func FuzzModelSetFromJSON(f *testing.F) {
+	valid, err := validSet().ToJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	hostile := validSet()
+	hostile.Arrivals[0].PeakMu = 1e11
+	if b, err := hostile.ToJSON(); err == nil {
+		f.Add(b)
+	}
+	f.Add([]byte(`{"services":[{"name":"x","session_share":1,"volume":{"mu":1e308,"sigma":9.9},` +
+		`"duration":{"alpha":1e-300,"beta":0.001},"duration_noise":10}],` +
+		`"arrivals":[{"peak_mu":10000,"peak_sigma":10000,"off_shape":1e-300,"off_scale":1e300}]}`))
+	f.Add([]byte(`{"services":[]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		set, err := ModelSetFromJSON(data)
+		if err != nil || set.Validate() != nil || len(set.Arrivals) > 16 {
+			return
+		}
+		gen, err := NewGenerator(set, 1)
+		if err != nil {
+			return
+		}
+		for class := range set.Arrivals {
+			for _, peak := range []bool{true, false} {
+				out, err := gen.Minute(class, peak)
+				if err != nil {
+					t.Fatalf("class %d peak %v: %v", class, peak, err)
+				}
+				if len(out) > 20*MaxArrivalRate {
+					t.Fatalf("class %d peak %v: %d sessions in one minute", class, peak, len(out))
+				}
+				for _, g := range out {
+					if math.IsNaN(g.Volume) || math.IsInf(g.Volume, 0) || g.Volume < 0 ||
+						math.IsNaN(g.Duration) || math.IsInf(g.Duration, 0) || g.Duration <= 0 ||
+						math.IsNaN(g.Throughput) || math.IsInf(g.Throughput, 0) {
+						t.Fatalf("class %d peak %v: non-finite session %+v", class, peak, g)
+					}
+				}
+			}
+		}
+	})
 }

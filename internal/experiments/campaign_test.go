@@ -3,10 +3,17 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"mobiletraffic/internal/campaign"
 	"mobiletraffic/internal/faults"
+	"mobiletraffic/internal/netsim"
+	"mobiletraffic/internal/probe"
 )
 
 // TestShardedBitIdentity is the acceptance gate of the sharded runner:
@@ -223,5 +230,91 @@ func TestCampaignInterruptPath(t *testing.T) {
 	}
 	if !bytes.Equal(refJSON, got) {
 		t.Fatal("resume after aborted campaign differs from the reference")
+	}
+}
+
+// encodeCheckpointV1 writes c in checkpoint format version 1, which
+// stored minute counts as f64: the on-disk state a campaign that ran
+// before the v2 format leaves behind.
+func encodeCheckpointV1(t *testing.T, c *probe.Collector) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	put := func(v any) {
+		if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	numBS, days := c.Extent()
+	keys := c.Keys()
+	b.WriteString("MTCP")
+	put(uint16(1))
+	put([]uint32{uint32(c.NumServices), uint32(numBS), uint32(days), netsim.MinutesPerDay,
+		uint32(len(c.VolumeEdges)), uint32(len(c.DurationEdges))})
+	put(uint64(len(keys)))
+	put(c.VolumeEdges)
+	put(c.DurationEdges)
+	for _, k := range keys {
+		st, _ := c.Get(k)
+		put(uint64((k.Service*numBS+k.BS)*days + k.Day))
+		put(st.Sessions)
+		for _, n := range st.MinuteCounts {
+			put(float64(n))
+		}
+		put(st.Volume.P)
+		put(st.DurVolSum)
+		put(st.DurCount)
+	}
+	put(crc32.Checksum(b.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	return b.Bytes()
+}
+
+// TestShardedResumeRecomputesV1Checkpoint verifies the checkpoint
+// format bump is safe for a campaign interrupted under the old format:
+// a resume over a version-1 shard checkpoint recomputes that shard
+// only, and the fitted models stay byte-identical.
+func TestShardedResumeRecomputesV1Checkpoint(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	cfg := Config{NumBS: 12, Days: 1, Seed: 23}
+	env, _, err := NewEnvSharded(context.Background(), cfg, CampaignOptions{Shards: shards, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, err := env.Models.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := campaign.LoadManifest(dir)
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	path := filepath.Join(dir, man.Shards[2].Checkpoint)
+	shard, err := probe.ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, encodeCheckpointV1(t, shard), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probe.ReadCheckpointFile(path); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+		t.Fatalf("v1 checkpoint: err = %v", err)
+	}
+	env, rep, err := NewEnvSharded(context.Background(), cfg, CampaignOptions{Shards: shards, CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != shards-1 || rep.Completed != 1 || rep.Degraded() {
+		t.Fatalf("report %+v, want shard 2 recomputed and the rest resumed", rep)
+	}
+	got, err := env.Models.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refJSON, got) {
+		t.Fatal("resume over a v1 checkpoint changed the fitted models")
+	}
+	// The recomputed shard was checkpointed again, in the current format.
+	if _, err := probe.ReadCheckpointFile(path); err != nil {
+		t.Fatalf("recomputed shard checkpoint: %v", err)
 	}
 }

@@ -141,7 +141,9 @@ func collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 		return nil, err
 	}
 	// The dense slabs are index-aligned, so the partials fold into the
-	// first one with per-service shards running in parallel.
+	// first one with per-service shards running in parallel. Each
+	// worker's BSs are its own, so every cell moves into partial 0
+	// instead of being copied, and the other partials are left empty.
 	mergeSpan := span.Child("aggregate/merge")
 	defer mergeSpan.End()
 	out := partials[0]

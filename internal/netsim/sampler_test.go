@@ -324,6 +324,9 @@ func TestSamplerV2StatEquivalence(t *testing.T) {
 // scratch, nothing. (v1 pays the math/rand lagged-Fibonacci source per
 // day by design; it exists to reproduce history, not to be fast.)
 func TestSamplerV2DayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
 	sim := newTestSim(t, SimConfig{Seed: 42, Sampler: SamplerV2})
 	buf := make([]Session, 0, SessionBatchSize)
 	var kept int

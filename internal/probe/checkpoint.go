@@ -24,7 +24,7 @@ import (
 //	volume edges  [numVolumeEdges]f64
 //	duration edges [numDurationEdges]f64
 //	numCells × { slabIndex u64 | Sessions f64
-//	             | MinuteCounts [minutesPerDay]f64
+//	             | MinuteCounts [minutesPerDay]u32
 //	             | Volume.P    [numVolumeEdges-1]f64
 //	             | DurVolSum   [numDurationEdges-1]f64
 //	             | DurCount    [numDurationEdges-1]f64 }
@@ -34,10 +34,12 @@ import (
 // encoding of a collector is deterministic and a sparse shard stays
 // small. Floats are stored as raw IEEE-754 bits, so a decoded
 // collector is bit-identical to the encoded one — the property the
-// resume-determinism argument stands on (DESIGN.md).
+// resume-determinism argument stands on (DESIGN.md). Version 1 stored
+// MinuteCounts as f64; its files are rejected as an unsupported
+// version, which a resuming campaign treats as a shard to recompute.
 const (
 	checkpointMagic   = "MTCP"
-	CheckpointVersion = 1
+	CheckpointVersion = 2
 )
 
 // MaxCheckpointCells caps the (services × BS × days) slab size a
@@ -97,19 +99,27 @@ func (c *Collector) WriteCheckpoint(w io.Writer) error {
 		_, err := cw.Write(scratch[:8])
 		return err
 	}
-	// Reusable encode buffer sized for the largest float64 run.
-	maxRun := netsim.MinutesPerDay
-	if n := len(c.VolumeEdges); n > maxRun {
+	// Reusable encode buffer sized for the largest run.
+	maxRun := netsim.MinutesPerDay * 4
+	if n := len(c.VolumeEdges) * 8; n > maxRun {
 		maxRun = n
 	}
-	if n := len(c.DurationEdges); n > maxRun {
+	if n := len(c.DurationEdges) * 8; n > maxRun {
 		maxRun = n
 	}
-	buf := make([]byte, maxRun*8)
+	buf := make([]byte, maxRun)
 	putF64s := func(vs []float64) error {
 		b := buf[:len(vs)*8]
 		for i, v := range vs {
 			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+		}
+		_, err := cw.Write(b)
+		return err
+	}
+	putU32s := func(vs []uint32) error {
+		b := buf[:len(vs)*4]
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[i*4:], v)
 		}
 		_, err := cw.Write(b)
 		return err
@@ -151,10 +161,13 @@ func (c *Collector) WriteCheckpoint(w io.Writer) error {
 		if err := putU64(uint64(i)); err != nil {
 			return err
 		}
-		if err := putF64s([]float64{st.Sessions}); err != nil {
+		if err := putU64(math.Float64bits(st.Sessions)); err != nil {
 			return err
 		}
-		for _, run := range [][]float64{st.MinuteCounts, st.Volume.P, st.DurVolSum, st.DurCount} {
+		if err := putU32s(st.MinuteCounts); err != nil {
+			return err
+		}
+		for _, run := range [][]float64{st.Volume.P, st.DurVolSum, st.DurCount} {
 			if err := putF64s(run); err != nil {
 				return err
 			}
@@ -196,19 +209,36 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 		return binary.LittleEndian.Uint64(scratch[:8]), nil
 	}
 	var buf []byte
-	getF64s := func(dst []float64) error {
-		need := len(dst) * 8
+	getRun := func(need int) ([]byte, error) {
 		if cap(buf) < need {
 			buf = make([]byte, need)
 		}
 		b := buf[:need]
-		if _, err := io.ReadFull(cr, b); err != nil {
+		_, err := io.ReadFull(cr, b)
+		return b, err
+	}
+	getF64s := func(dst []float64) error {
+		b, err := getRun(len(dst) * 8)
+		if err != nil {
 			return err
 		}
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 		}
 		return nil
+	}
+	// getCounts decodes a minute-count run and returns its total.
+	getCounts := func(dst []uint32) (uint64, error) {
+		b, err := getRun(len(dst) * 4)
+		if err != nil {
+			return 0, err
+		}
+		var sum uint64
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(b[i*4:])
+			sum += uint64(dst[i])
+		}
+		return sum, nil
 	}
 
 	if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
@@ -264,7 +294,6 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("probe: checkpoint grids: %w", err)
 	}
-	var one [1]float64
 	prev := int64(-1)
 	for n := uint64(0); n < nCells; n++ {
 		idx, err := getU64()
@@ -277,11 +306,20 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 		prev = int64(idx)
 		st := c.newCell()
 		c.cells[idx] = st
-		if err := getF64s(one[:]); err != nil {
+		bits, err := getU64()
+		if err != nil {
 			return nil, fmt.Errorf("probe: checkpoint cell %d: %w", n, err)
 		}
-		st.Sessions = one[0]
-		for _, run := range [][]float64{st.MinuteCounts, st.Volume.P, st.DurVolSum, st.DurCount} {
+		st.Sessions = math.Float64frombits(bits)
+		total, err := getCounts(st.MinuteCounts)
+		if err != nil {
+			return nil, fmt.Errorf("probe: checkpoint cell %d payload: %w", n, err)
+		}
+		// The sum of at most 1440 uint32 counts is exact in a float64.
+		if st.Sessions != float64(total) {
+			return nil, fmt.Errorf("probe: checkpoint cell %d holds %v sessions but %d minute counts", n, st.Sessions, total)
+		}
+		for _, run := range [][]float64{st.Volume.P, st.DurVolSum, st.DurCount} {
 			if err := getF64s(run); err != nil {
 				return nil, fmt.Errorf("probe: checkpoint cell %d payload: %w", n, err)
 			}

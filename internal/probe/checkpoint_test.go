@@ -2,9 +2,11 @@ package probe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // checkpointCollector builds a small collector with a mix of populated
 // and empty cells, including awkward float values, so the round-trip
 // tests exercise sparse encoding and bit-exactness together.
-func checkpointCollector(t *testing.T) *Collector {
+func checkpointCollector(t testing.TB) *Collector {
 	t.Helper()
 	c, err := NewCollectorSized(3, 5, 2)
 	if err != nil {
@@ -63,8 +65,10 @@ func sameCollector(t *testing.T, a, b *Collector) {
 		if math.Float64bits(sa.Sessions) != math.Float64bits(sb.Sessions) {
 			t.Fatalf("cell %+v sessions %v vs %v", key, sa.Sessions, sb.Sessions)
 		}
+		if !slices.Equal(sa.MinuteCounts, sb.MinuteCounts) {
+			t.Fatalf("cell %+v minute counts differ", key)
+		}
 		runs := [][2][]float64{
-			{sa.MinuteCounts, sb.MinuteCounts},
 			{sa.Volume.P, sb.Volume.P},
 			{sa.DurVolSum, sb.DurVolSum},
 			{sa.DurCount, sb.DurCount},
@@ -214,6 +218,29 @@ func TestCheckpointCorruption(t *testing.T) {
 	})
 }
 
+// TestCheckpointRejectsSessionMismatch verifies the decoder enforces the
+// cell invariant Sessions == Σ MinuteCounts, which every Observe and
+// merge path keeps: a CRC-valid checkpoint whose cell breaks it is
+// refused.
+func TestCheckpointRejectsSessionMismatch(t *testing.T) {
+	for _, tamper := range []func(st *DayStats){
+		func(st *DayStats) { st.Sessions++ },
+		func(st *DayStats) { st.MinuteCounts[7]++ },
+		func(st *DayStats) { st.Sessions = math.NaN() },
+	} {
+		c := checkpointCollector(t)
+		st, _ := c.Get(c.Keys()[2])
+		tamper(st)
+		var buf bytes.Buffer
+		if err := c.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "minute counts") {
+			t.Fatalf("cell breaking Sessions == sum(MinuteCounts): err = %v", err)
+		}
+	}
+}
+
 // TestCheckpointSlabCap verifies the decoder refuses headers declaring
 // a slab larger than MaxCheckpointCells instead of allocating it.
 func TestCheckpointSlabCap(t *testing.T) {
@@ -256,6 +283,17 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
+	// A v2 encoding with several cells per service and extreme floats,
+	// and the same bytes declaring version 1.
+	buf.Reset()
+	if err := checkpointCollector(f).WriteCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	f.Add(v2)
+	v1 := append([]byte(nil), v2...)
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	f.Add(v1)
 
 	old := MaxCheckpointCells
 	MaxCheckpointCells = 1 << 16

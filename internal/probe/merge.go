@@ -10,12 +10,12 @@ import (
 	"mobiletraffic/internal/obs"
 )
 
-// Merge folds the statistics of other into c. Both collectors must
-// share the same service count and measurement grids. Merging is
-// associative and commutative, so a measurement campaign can be
-// aggregated by independent workers (e.g. one per base station) whose
-// collectors are merged afterwards — the map-reduce layout a real
-// probe deployment uses across gateway sites.
+// Merge folds the statistics of other into c and leaves other empty.
+// Both collectors must share the same service count and measurement
+// grids. Merging is associative and commutative, so a measurement
+// campaign can be aggregated by independent workers (e.g. one per base
+// station) whose collectors are merged afterwards — the map-reduce
+// layout a real probe deployment uses across gateway sites.
 func (c *Collector) Merge(other *Collector) error {
 	return c.MergeAll([]*Collector{other}, 1)
 }
@@ -26,6 +26,13 @@ func (c *Collector) Merge(other *Collector) error {
 // disjoint cell ranges and each destination cell receives its
 // contributions in the same partial order as a serial pairwise Merge
 // chain, so the result is bit-identical regardless of worker count.
+//
+// The partials are consumed: a cell c does not hold yet is moved into c
+// (0 + v == v for every value a cell holds, so moving equals adding
+// into a zeroed cell bit for bit), one c already holds is added into,
+// and every merged partial is left empty, as if newly constructed with
+// a zero extent. Each cell therefore exists once, in c. On error no
+// partial is touched.
 func (c *Collector) MergeAll(others []*Collector, workers int) error {
 	for _, other := range others {
 		if kind, err := c.mergeCheck(other); err != nil {
@@ -42,6 +49,9 @@ func (c *Collector) MergeAll(others []*Collector, workers int) error {
 func (c *Collector) mergeCheck(other *Collector) (kind string, err error) {
 	if other == nil {
 		return "nil", errors.New("probe: merge with nil collector")
+	}
+	if other == c {
+		return "self", errors.New("probe: merge of a collector into itself")
 	}
 	if c.NumServices != other.NumServices {
 		return "services", fmt.Errorf("probe: merge service counts differ: %d vs %d", c.NumServices, other.NumServices)
@@ -90,7 +100,8 @@ func (r *MergeReport) Summary() string {
 // campaign that lost a shard still aggregates everything that
 // survived. The returned report records the fate of every partial;
 // merge order among the surviving partials is their slice order, the
-// same bit-identity contract as MergeAll.
+// same bit-identity contract as MergeAll. Merged partials are consumed
+// as in MergeAll; skipped ones are left untouched.
 func (c *Collector) MergeAllReport(others []*Collector, workers int) (*MergeReport, error) {
 	report := &MergeReport{Partials: make([]MergePartial, len(others))}
 	good := make([]*Collector, 0, len(others))
@@ -134,6 +145,13 @@ func (c *Collector) mergeChecked(others []*Collector, workers int) {
 	if workers > c.NumServices {
 		workers = c.NumServices
 	}
+	// Every cell has moved or been added into c, so the partials let go
+	// of their slabs once the fold is done.
+	defer func() {
+		for _, other := range others {
+			other.cells, other.numBS, other.days = nil, 0, 0
+		}
+	}()
 	if workers <= 1 {
 		for svc := 0; svc < c.NumServices; svc++ {
 			c.mergeService(svc, others)
@@ -160,8 +178,9 @@ func (c *Collector) mergeChecked(others []*Collector, workers int) {
 }
 
 // mergeService folds one service's cells from every partial, in partial
-// order, into c. Only cells of service svc are touched, so concurrent
-// calls for distinct services are race-free.
+// order, into c: an empty destination slot takes the source cell
+// itself, an occupied one adds it in. Only cells of service svc are
+// touched, so concurrent calls for distinct services are race-free.
 func (c *Collector) mergeService(svc int, others []*Collector) {
 	for _, other := range others {
 		for bs := 0; bs < other.numBS; bs++ {
@@ -174,8 +193,12 @@ func (c *Collector) mergeService(svc int, others []*Collector) {
 				}
 				dst := c.cells[dstBase+day]
 				if dst == nil {
-					dst = c.newCell()
-					c.cells[dstBase+day] = dst
+					// The grids are equal by value; share c's slice so
+					// the cell's histogram keeps pointing at its owner's
+					// edges.
+					src.Volume.Edges = c.VolumeEdges
+					c.cells[dstBase+day] = src
+					continue
 				}
 				for m, v := range src.MinuteCounts {
 					dst.MinuteCounts[m] += v

@@ -3,6 +3,7 @@ package probe
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,7 +36,7 @@ func (o *mapOracle) observe(s netsim.Session) {
 		vol, _ := dist.NewHist(o.volEdges)
 		nd := len(o.durEdges) - 1
 		st = &DayStats{
-			MinuteCounts: make([]float64, netsim.MinutesPerDay),
+			MinuteCounts: make([]uint32, netsim.MinutesPerDay),
 			Volume:       vol,
 			DurVolSum:    make([]float64, nd),
 			DurCount:     make([]float64, nd),
@@ -273,7 +274,7 @@ func TestDenseCollectorMatchesMapOracle(t *testing.T) {
 			}
 			want := o.cells[k]
 			if got.Sessions != want.Sessions ||
-				!equalFloats(got.MinuteCounts, want.MinuteCounts) ||
+				!slices.Equal(got.MinuteCounts, want.MinuteCounts) ||
 				!equalFloats(got.Volume.P, want.Volume.P) ||
 				!equalFloats(got.DurVolSum, want.DurVolSum) ||
 				!equalFloats(got.DurCount, want.DurCount) {
@@ -425,7 +426,7 @@ func requireCellsEqual(t *testing.T, label string, got, want *Collector) {
 		g, _ := got.Get(k)
 		w, _ := want.Get(k)
 		if g.Sessions != w.Sessions ||
-			!equalFloats(g.MinuteCounts, w.MinuteCounts) ||
+			!slices.Equal(g.MinuteCounts, w.MinuteCounts) ||
 			!equalFloats(g.Volume.P, w.Volume.P) ||
 			!equalFloats(g.DurVolSum, w.DurVolSum) ||
 			!equalFloats(g.DurCount, w.DurCount) {

@@ -33,9 +33,17 @@ type StatKey struct {
 // per (service, BS, day) tuple (§3.2): per-minute session counts
 // w^{c,m}, the traffic volume PDF F^{c,t}, and duration-volume pairs
 // v^{c,t}(d).
+//
+// A cell is owned by exactly one Collector: merging moves it into the
+// destination rather than copying it (see MergeAll). Sessions always
+// equals the sum of MinuteCounts; the checkpoint decoder rejects a cell
+// that breaks this.
 type DayStats struct {
 	// MinuteCounts[m] is the number of sessions established in minute m.
-	MinuteCounts []float64
+	// Counts are integers, so uint32 holds them (up to 4.29e9 sessions
+	// per cell-minute) at half the size of a float64, and converts to
+	// float64 exactly in every aggregation.
+	MinuteCounts []uint32
 	// Sessions is the daily total w^{c,t}.
 	Sessions float64
 	// Volume is the histogram of per-session log10 traffic volume. Its
@@ -181,7 +189,8 @@ func (b *binner) bin(x float64) int {
 // bounds check plus an array index (zero allocations once the cell
 // exists), iteration is deterministic by construction (ascending
 // service, BS, day — no per-aggregation key sort), and merging partial
-// collectors is an index-aligned slab walk that shards by service. The
+// collectors is an index-aligned slab walk that shards by service and
+// moves cells rather than copying them, so each cell has one owner. The
 // BS and day dimensions grow geometrically on demand, so callers that
 // don't know the campaign extent up front can keep using NewCollector;
 // the collection path pre-sizes via NewCollectorSized and never grows.
@@ -298,22 +307,30 @@ func (c *Collector) ensure(bs, day int) {
 	c.numBS, c.days, c.cells = newBS, newDays, cells
 }
 
-// newCell allocates one statistics cell. All four accumulator arrays
-// share a single backing slab for locality; the volume histogram shares
-// the collector's edge slice.
+// cellBlock is the single allocation behind a cell's header, volume
+// histogram header and minute counts.
+type cellBlock struct {
+	st  DayStats
+	vol dist.Hist
+	mc  [netsim.MinutesPerDay]uint32
+}
+
+// newCell allocates one statistics cell in two blocks: the headers with
+// the minute counts, and one float64 slab shared by the three
+// grid-sized accumulators. The volume histogram shares the collector's
+// edge slice.
 func (c *Collector) newCell() *DayStats {
 	nv := len(c.VolumeEdges) - 1
 	nd := len(c.DurationEdges) - 1
-	buf := make([]float64, netsim.MinutesPerDay+nv+2*nd)
-	mc, rest := buf[:netsim.MinutesPerDay:netsim.MinutesPerDay], buf[netsim.MinutesPerDay:]
-	vp, rest := rest[:nv:nv], rest[nv:]
-	dv, dc := rest[:nd:nd], rest[nd:nd+nd:nd+nd]
-	return &DayStats{
-		MinuteCounts: mc,
-		Volume:       &dist.Hist{Edges: c.VolumeEdges, P: vp},
-		DurVolSum:    dv,
-		DurCount:     dc,
+	buf := make([]float64, nv+2*nd)
+	b := &cellBlock{vol: dist.Hist{Edges: c.VolumeEdges, P: buf[:nv:nv]}}
+	b.st = DayStats{
+		MinuteCounts: b.mc[:],
+		Volume:       &b.vol,
+		DurVolSum:    buf[nv : nv+nd : nv+nd],
+		DurCount:     buf[nv+nd:],
 	}
+	return &b.st
 }
 
 // cell returns the statistics cell for a key, creating it if needed.
