@@ -6,16 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mobiletraffic/internal/dist"
 )
 
-// goldenModelSet is the fixed released-model fixture behind the GenV1
-// stream digests: three services covering the interesting shapes
+// goldenModelSet is the fixed released-model fixture behind the stream
+// digests: three services covering the interesting shapes
 // (multi-peak mixture with a volume cap, bare log-normal, single peak)
 // and two arrival classes. Changing any parameter invalidates the
-// digests in TestGenV1GoldenStream.
+// digests in TestGenV1GoldenStream and TestGenV2GoldenStream.
 func goldenModelSet() *ModelSet {
 	return &ModelSet{
 		Services: []ServiceModel{
@@ -50,18 +51,26 @@ func goldenModelSet() *ModelSet {
 	}
 }
 
+// sessionSource is the scalar surface shared by the production
+// Generator and the v1 oracle generatorV1.
+type sessionSource interface {
+	Minute(class int, peak bool) ([]GenSession, error)
+	MinuteAppend(dst []GenSession, class int, peak bool) ([]GenSession, error)
+	Session(name string) (GenSession, error)
+}
+
 // hashGenStream drives the generator through the fixed golden schedule
-// (500 minutes cycling classes and day/night modes, then 100 single
-// Session draws cycling the services) and digests every generated
-// field bit for bit.
-func hashGenStream(t *testing.T, g *Generator, minutes int) (string, int) {
+// over set (500 minutes cycling classes and day/night modes, then 100
+// single Session draws cycling the services) and digests every
+// generated field bit for bit.
+func hashGenStream(t *testing.T, set *ModelSet, g sessionSource, minutes int) (string, int) {
 	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
 	n := 0
 	w64 := func(v uint64) { binary.LittleEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
 	for m := 0; m < minutes; m++ {
-		class := m % len(g.Set.Arrivals)
+		class := m % len(set.Arrivals)
 		peak := m%3 != 0
 		sessions, err := g.Minute(class, peak)
 		if err != nil {
@@ -76,7 +85,7 @@ func hashGenStream(t *testing.T, g *Generator, minutes int) (string, int) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		s, err := g.Session(g.Set.Services[i%len(g.Set.Services)].Name)
+		s, err := g.Session(set.Services[i%len(set.Services)].Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +98,11 @@ func hashGenStream(t *testing.T, g *Generator, minutes int) (string, int) {
 	return fmt.Sprintf("%x", h.Sum(nil)), n
 }
 
-// TestGenV1GoldenStream pins the v1 engine to the exact byte stream the
-// pre-versioning Generator produced: the digests below were captured on
-// the unmodified code immediately before the engine split. Any change
-// to the v1 draw order, the share normalization arithmetic, or the
-// underlying model samplers breaks this test.
+// TestGenV1GoldenStream pins the v1 oracle (generatorV1) to the exact
+// byte stream the pre-versioning Generator produced: the digests below
+// were captured on the unmodified code immediately before the engine
+// split. Any change to the oracle's draw order, its share normalization
+// arithmetic, or the exported model samplers it calls breaks this test.
 func TestGenV1GoldenStream(t *testing.T) {
 	golden := []struct {
 		seed     int64
@@ -104,14 +113,83 @@ func TestGenV1GoldenStream(t *testing.T) {
 		{7, "f34e2bd563466839ea6e9514bbad7b366d8c0187d53d97bcc3db8ded689ad7d2", 5094},
 	}
 	for _, gc := range golden {
-		g, err := NewGeneratorEngine(goldenModelSet(), gc.seed, GenV1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash, n := hashGenStream(t, g, 500)
+		set := goldenModelSet()
+		hash, n := hashGenStream(t, set, newGeneratorV1(set, gc.seed), 500)
 		if hash != gc.hash || n != gc.sessions {
 			t.Errorf("seed %d: v1 stream drifted: got %s (%d sessions), want %s (%d sessions)",
 				gc.seed, hash, n, gc.hash, gc.sessions)
+		}
+	}
+}
+
+// hashCampaign digests every column of every block of a campaign, in
+// the cell order GenerateCampaign returns.
+func hashCampaign(blocks []DayBlock) (string, int) {
+	h := sha256.New()
+	var buf [8]byte
+	n := 0
+	w64 := func(v uint64) { binary.LittleEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
+	for i := range blocks {
+		b := &blocks[i]
+		w64(uint64(b.BS))
+		w64(uint64(b.Day))
+		for _, o := range b.Offsets {
+			w64(uint64(o))
+		}
+		for k := 0; k < b.Sessions(); k++ {
+			n++
+			w64(uint64(b.Svc[k]))
+			w64(math.Float64bits(b.Volume[k]))
+			w64(math.Float64bits(b.Duration[k]))
+			w64(math.Float64bits(b.Start[k]))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), n
+}
+
+// TestGenV2GoldenStream pins the v2 engine byte for byte on both of its
+// surfaces: the scalar stream (the TestGenV1GoldenStream schedule of
+// Minute, hence MinuteAppend, and Session draws) and the keyed
+// campaign cells of GenerateCampaign. The digests were captured before
+// the v1 engine was retired; any change to a v2 draw, its order or the
+// compiled generation plan breaks them.
+func TestGenV2GoldenStream(t *testing.T) {
+	golden := []struct {
+		seed             int64
+		hash             string
+		sessions         int
+		campaign         string
+		campaignSessions int
+	}{
+		{42, "b21a0b8a5dbaf8882185eb2cf03869977f61a7e24d54f9732a80bb20ec5c95a5", 5046,
+			"5d017e6bd292aae5bbf7c0271b02fd0188c2553a80ec58e7988d5ce92f4d4b0e", 50881},
+		{7, "c2e5bb826040ddf3be43eb924cc4457ab26399fec43c0117ddefcfff46ec9844", 5012,
+			"0cee590ac75b8a7e1b767580cd45339e20e53438568b7ca33ac91e9d2658965d", 50768},
+	}
+	for _, gc := range golden {
+		g, err := NewGenerator(goldenModelSet(), gc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, n := hashGenStream(t, g.Set, g, 500)
+		if hash != gc.hash || n != gc.sessions {
+			t.Errorf("seed %d: v2 stream drifted: got %s (%d sessions), want %s (%d sessions)",
+				gc.seed, hash, n, gc.hash, gc.sessions)
+		}
+		cg, err := NewGenerator(goldenModelSet(), gc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := cg.GenerateCampaign(CampaignSpec{
+			Arrivals: goldenModelSet().Arrivals, Keys: []uint64{3, 11}, Days: 2, Workers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, n = hashCampaign(blocks)
+		if hash != gc.campaign || n != gc.campaignSessions {
+			t.Errorf("seed %d: v2 campaign drifted: got %s (%d sessions), want %s (%d sessions)",
+				gc.seed, hash, n, gc.campaign, gc.campaignSessions)
 		}
 	}
 }
@@ -123,9 +201,6 @@ func TestGenV2Deterministic(t *testing.T) {
 	ga, err := NewGenerator(goldenModelSet(), 11)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ga.Engine != GenV2 {
-		t.Fatalf("default engine = %q, want %q", ga.Engine, GenV2)
 	}
 	gb, err := NewGeneratorEngine(goldenModelSet(), 11, GenV2)
 	if err != nil {
@@ -191,10 +266,7 @@ func mergeTailBins(a, b []float64, minCount float64) (ma, mb []float64) {
 // so the p-values are deterministic.
 func TestGenV2StatEquivalence(t *testing.T) {
 	set := goldenModelSet()
-	g1, err := NewGeneratorEngine(goldenModelSet(), 1234, GenV1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1 := newGeneratorV1(goldenModelSet(), 1234)
 	g2, err := NewGeneratorEngine(goldenModelSet(), 4321, GenV2)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +277,7 @@ func TestGenV2StatEquivalence(t *testing.T) {
 		arrCounts      []float64
 	}
 	const minutes = 6000
-	collect := func(g *Generator) sample {
+	collect := func(g sessionSource) sample {
 		s := sample{svcCounts: make([]float64, len(set.Services))}
 		svcIdx := map[string]int{}
 		for i, m := range set.Services {
@@ -304,22 +376,20 @@ func TestGenV2MinuteAppendAllocs(t *testing.T) {
 // constructor must normalize shares into generator-private tables, not
 // rescale the caller's models in place.
 func TestNewGeneratorDoesNotMutateModelSet(t *testing.T) {
-	for _, engine := range []Engine{GenV1, GenV2} {
-		set := goldenModelSet()
-		before, err := json.Marshal(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewGeneratorEngine(set, 3, engine); err != nil {
-			t.Fatal(err)
-		}
-		after, err := json.Marshal(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(before) != string(after) {
-			t.Errorf("%s: NewGeneratorEngine mutated the caller's ModelSet", engine)
-		}
+	set := goldenModelSet()
+	before, err := json.Marshal(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewGenerator(set, 3); err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Error("NewGenerator mutated the caller's ModelSet")
 	}
 }
 
@@ -330,79 +400,73 @@ func TestGenerateBatchMatchesMinuteAppend(t *testing.T) {
 	for i := range peaks {
 		peaks[i] = i%2 == 0
 	}
-	for _, engine := range []Engine{GenV1, GenV2} {
-		ga, err := NewGeneratorEngine(goldenModelSet(), 77, engine)
+	ga, err := NewGenerator(goldenModelSet(), 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := NewGenerator(goldenModelSet(), 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := ga.GenerateBatch(nil, 1, peaks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loop []GenSession
+	for _, p := range peaks {
+		loop, err = gb.MinuteAppend(loop, 1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := NewGeneratorEngine(goldenModelSet(), 77, engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := ga.GenerateBatch(nil, 1, peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var loop []GenSession
-		for _, p := range peaks {
-			loop, err = gb.MinuteAppend(loop, 1, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(batch) != len(loop) {
-			t.Fatalf("%s: batch %d vs loop %d sessions", engine, len(batch), len(loop))
-		}
-		for i := range batch {
-			if batch[i] != loop[i] {
-				t.Fatalf("%s: session %d: %+v vs %+v", engine, i, batch[i], loop[i])
-			}
+	}
+	if len(batch) != len(loop) {
+		t.Fatalf("batch %d vs loop %d sessions", len(batch), len(loop))
+	}
+	for i := range batch {
+		if batch[i] != loop[i] {
+			t.Fatalf("session %d: %+v vs %+v", i, batch[i], loop[i])
 		}
 	}
 }
 
 // TestSessionForBounds checks the index-based draw validates its range
-// on both engines and agrees with the name-based Session draw.
+// and agrees with the name-based Session draw.
 func TestSessionForBounds(t *testing.T) {
-	for _, engine := range []Engine{GenV1, GenV2} {
-		g, err := NewGeneratorEngine(goldenModelSet(), 9, engine)
-		if err != nil {
-			t.Fatal(err)
+	g, err := NewGenerator(goldenModelSet(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{-1, len(g.Set.Services)} {
+		if _, err := g.SessionFor(idx); err == nil {
+			t.Errorf("SessionFor(%d) did not error", idx)
 		}
-		for _, idx := range []int{-1, len(g.Set.Services)} {
-			if _, err := g.SessionFor(idx); err == nil {
-				t.Errorf("%s: SessionFor(%d) did not error", engine, idx)
-			}
-		}
-		if _, err := g.Session("no-such-service"); err == nil {
-			t.Errorf("%s: Session on unknown name did not error", engine)
-		}
-		s, err := g.SessionFor(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Service != g.Set.Services[1].Name {
-			t.Errorf("%s: SessionFor(1) generated %q", engine, s.Service)
-		}
+	}
+	if _, err := g.Session("no-such-service"); err == nil {
+		t.Error("Session on unknown name did not error")
+	}
+	s, err := g.SessionFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Service != g.Set.Services[1].Name {
+		t.Errorf("SessionFor(1) generated %q", s.Service)
 	}
 }
 
-// TestParseEngine covers the flag-parsing helper.
+// TestParseEngine covers the generation-engine version argument: ""
+// and "v2" select the only stream, and every other value — v1 included
+// — is rejected with an error naming the removal.
 func TestParseEngine(t *testing.T) {
-	for in, want := range map[string]Engine{"": GenV2, "v1": GenV1, "v2": GenV2} {
-		got, err := ParseEngine(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("ParseEngine(%q) = %q, want %q", in, got, want)
+	for _, engine := range []Engine{"", GenV2} {
+		if _, err := NewGeneratorEngine(goldenModelSet(), 1, engine); err != nil {
+			t.Errorf("NewGeneratorEngine(%q): %v", engine, err)
 		}
 	}
-	if _, err := ParseEngine("v3"); err == nil {
-		t.Error("ParseEngine(v3) did not error")
-	}
-	if _, err := NewGeneratorEngine(goldenModelSet(), 1, Engine("v9")); err == nil {
-		t.Error("NewGeneratorEngine with unknown engine did not error")
+	for _, engine := range []Engine{"v1", "v3", "V2"} {
+		_, err := NewGeneratorEngine(goldenModelSet(), 1, engine)
+		if err == nil || !strings.Contains(err.Error(), "v1 was removed") {
+			t.Errorf("NewGeneratorEngine(%q) error = %v, want one naming the removal", engine, err)
+		}
 	}
 }
 

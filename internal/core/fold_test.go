@@ -152,7 +152,7 @@ func TestGenerateCampaignFoldEarlyStop(t *testing.T) {
 }
 
 // TestGenerateCampaignFoldValidation pins that the fold surface shares
-// the materializing surface's spec and engine gates.
+// the materializing surface's spec gate.
 func TestGenerateCampaignFoldValidation(t *testing.T) {
 	set := goldenModelSet()
 	g, err := NewGenerator(set, 1)
@@ -162,13 +162,6 @@ func TestGenerateCampaignFoldValidation(t *testing.T) {
 	noop := func(*DayBlock) error { return nil }
 	if err := g.GenerateCampaignFold(CampaignSpec{}, noop); err == nil {
 		t.Error("empty spec accepted")
-	}
-	v1, err := NewGeneratorEngine(set, 1, GenV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v1.GenerateCampaignFold(campaignSpecForTest(1), noop); err == nil {
-		t.Error("GenerateCampaignFold on a v1 generator did not error")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"mobiletraffic/internal/obs"
 )
 
-// This file is the deterministic parallel generation plane of engine
-// v2: campaign generation decomposed into independent per-(BS, day)
-// cells, each drawing from its own substream
+// This file is the deterministic parallel generation plane: campaign
+// generation decomposed into independent per-(BS, day) cells, each
+// drawing from its own substream
 // (SeedStream(master^genCampaignDomain, key, day)), executed on the
 // shared claim-from-a-counter worker pool and stitched back in cell
 // index order. Because every cell's stream is a pure function of
@@ -26,10 +26,10 @@ import (
 // 5·n variates in a fixed order (service uniforms, component uniforms,
 // volume Gaussians, duration-noise Gaussians, start uniforms) — so the
 // draw layout is independent of which services were picked or whether
-// a model has mixture peaks or noise. This is a new v2 stream: it
-// realizes the same released distributions as MinuteAppend but maps
-// draws differently, so campaign output is statistically (not
-// byte-for-byte) equivalent to the scalar path.
+// a model has mixture peaks or noise. It realizes the same released
+// distributions as MinuteAppend but maps draws differently, so
+// campaign output is statistically (not byte-for-byte) equivalent to
+// the scalar path.
 
 // CampaignSpec describes a generation campaign: a grid of (BS, day)
 // cells over the given arrival models.
@@ -131,14 +131,10 @@ type campaignParams struct {
 	workers int
 }
 
-// validateCampaign checks a spec against the generator's engine and
-// resolves its defaults, shared by the materializing and folding
+// validateCampaign checks a spec and resolves its defaults, shared by the materializing and folding
 // campaign surfaces.
 func (g *Generator) validateCampaign(spec CampaignSpec) (campaignParams, error) {
 	var p campaignParams
-	if g.Engine != GenV2 {
-		return p, errors.New("core: campaign generation needs engine v2 (v1 preserves the historical single stream)")
-	}
 	if len(spec.Arrivals) == 0 {
 		return p, errors.New("core: campaign needs at least one arrival model")
 	}
@@ -178,8 +174,7 @@ func (g *Generator) validateCampaign(spec CampaignSpec) (campaignParams, error) 
 // GenerateCampaign generates every (BS, day) cell of the spec on the
 // worker pool and returns the blocks in cell order (BS-major:
 // block index = bs*Days + day). The result is bit-identical for every
-// worker count and depends only on (generator seed, spec). Campaign
-// generation is a v2 feature; v1 generators return an error.
+// worker count and depends only on (generator seed, spec).
 //
 // GenerateCampaign materializes the whole campaign at once; callers
 // that fold cells into an aggregate (a demand trace, a file, a

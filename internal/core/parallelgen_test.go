@@ -175,22 +175,6 @@ func TestGenerateCampaignCellInvariance(t *testing.T) {
 	}
 }
 
-// TestGenerateCampaignV1Rejected pins the engine gate: v1's contract is
-// the historical single stream, which has no parallel decomposition.
-func TestGenerateCampaignV1Rejected(t *testing.T) {
-	set := goldenModelSet()
-	g, err := NewGeneratorEngine(set, 1, GenV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.GenerateCampaign(campaignSpecForTest(1)); err == nil {
-		t.Error("GenerateCampaign on a v1 generator did not error")
-	}
-	if _, err := g.Substream(1, 2); err == nil {
-		t.Error("Substream on a v1 generator did not error")
-	}
-}
-
 // TestGenerateCampaignValidation covers the spec error paths.
 func TestGenerateCampaignValidation(t *testing.T) {
 	set := goldenModelSet()

@@ -25,14 +25,25 @@ func buildMeasurement(t *testing.T, cfg netsim.SimConfig, numBS int) (*probe.Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.GenerateAll(func(s netsim.Session) {
+	generateAll(t, sim, func(s netsim.Session) {
 		if err := coll.Observe(s); err != nil {
 			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	return coll, sim
+}
+
+// generateAll runs GenerateDay over every configured day and BS, days
+// outermost.
+func generateAll(t *testing.T, sim *netsim.Simulator, yield func(netsim.Session)) {
+	t.Helper()
+	for day := 0; day < sim.Config.Days; day++ {
+		for bs := range sim.Topo.BSs {
+			if err := sim.GenerateDay(bs, day, yield); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestPipelineRecoversGroundTruth is the central oracle test of the
@@ -299,16 +310,14 @@ func TestFitArrivalsByDecileReportBackfillsDarkClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.GenerateAll(func(s netsim.Session) {
+	generateAll(t, sim, func(s netsim.Session) {
 		if dark[s.BS] {
 			return
 		}
 		if err := coll.Observe(s); err != nil {
 			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	models, report, err := FitArrivalsByDecileReport(coll, topo)
 	if err != nil {
 		t.Fatalf("dark classes must not abort the arrival fit: %v", err)

@@ -17,7 +17,7 @@ import (
 	"mobiletraffic/internal/probe"
 )
 
-// collect() footprint ceilings, calibrated at ~1.5x the measured
+// Collect() footprint ceilings, calibrated at ~1.5x the measured
 // footprint of the 20-BS, 7-day campaign below (41.1 MB with 1 worker,
 // 46.3 MB with 2): the campaign's cells are allocated once whatever
 // the worker count (4239 cells of 8448 B), and each worker adds its
@@ -41,12 +41,12 @@ func TestCollectAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm run: lazy simulator state (phase tables, alias tables).
-	if _, err := collect(sim, days, nil); err != nil {
+	if _, err := Collect(sim, days, nil); err != nil {
 		t.Fatal(err)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	coll, err := collect(sim, days, nil)
+	coll, err := Collect(sim, days, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/netsim"
-	"mobiletraffic/internal/probe"
 	"mobiletraffic/internal/services"
 )
 
@@ -36,7 +34,6 @@ func ExpDrift(env *Env) (*DriftResult, error) {
 	// volume trend, swap popularity between two services, drop one,
 	// add a new one.
 	catalog := append([]services.Profile(nil), env.Catalog...)
-	rng := rand.New(rand.NewSource(env.Config.Seed ^ 0xd21f7))
 
 	const shifted = "Netflix"
 	const removed = "Yahoo"
@@ -64,7 +61,6 @@ func ExpDrift(env *Env) (*DriftResult, error) {
 		MainMu:          6.9, MainSigma: 1.0,
 		Beta: 1.25, TypDuration: 300, DurationNoise: 0.15,
 	})
-	_ = rng
 
 	// Simulate the drifted campaign on the same topology size.
 	topo, err := netsim.NewTopology(netsim.TopologyConfig{
@@ -79,20 +75,9 @@ func ExpDrift(env *Env) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	coll, err := probe.NewCollector(len(sim.Services))
+	coll, err := Collect(sim, env.Config.Days, nil)
 	if err != nil {
 		return nil, err
-	}
-	var obsErr error
-	if err := sim.GenerateAll(func(s netsim.Session) {
-		if obsErr == nil {
-			obsErr = coll.Observe(s)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if obsErr != nil {
-		return nil, obsErr
 	}
 	drifted, err := core.FitServiceModels(coll, sim.Services, nil)
 	if err != nil {

@@ -26,9 +26,9 @@ type Config struct {
 	// 0.25; negative disables UE mobility, useful for ground-truth
 	// recovery oracles).
 	MoveProb float64
-	// Sampler selects the synthesis-engine stream version (default
-	// netsim.SamplerV2; netsim.SamplerV1 reproduces the historical
-	// session stream byte for byte).
+	// Sampler names the sampling stream: "" or netsim.SamplerV2, the
+	// only stream. It is part of the checkpoint campaign tag, so a
+	// directory resumes only under the value it was written with.
 	Sampler netsim.Sampler
 }
 
@@ -81,7 +81,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: simulator: %w", err)
 	}
-	coll, err := collect(sim, c.Days, nil)
+	coll, err := Collect(sim, c.Days, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collect: %w", err)
 	}

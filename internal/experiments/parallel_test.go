@@ -158,7 +158,7 @@ func TestCollectFaultyMatchesSerialInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := collect(sim, days, injPar)
+	par, err := Collect(sim, days, injPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,12 @@ func TestCollectFaultyMatchesSerialInjection(t *testing.T) {
 			obsErr = ser.Observe(s)
 		}
 	})
-	if err := sim.GenerateAll(yield); err != nil {
-		t.Fatal(err)
+	for day := 0; day < days; day++ {
+		for bs := range topo.BSs {
+			if err := sim.GenerateDay(bs, day, yield); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if obsErr != nil {
 		t.Fatal(obsErr)

@@ -438,7 +438,7 @@ func (d *DayStream) geometric(mean float64) int {
 // Wrap adapts a serial session sink into a fault-injected one: the
 // returned yield function routes each session through the fault stream
 // of its (BS, day) cell, lazily creating streams as cells appear. The
-// wrapper is for serial collection (e.g. netsim.Simulator.GenerateAll);
+// wrapper is for serial collection (e.g. netsim.Simulator.GenerateDay);
 // parallel campaigns should call Day per cell from each worker.
 func (inj *Injector) Wrap(yield func(netsim.Session)) func(netsim.Session) {
 	type bsDay struct{ bs, day int }

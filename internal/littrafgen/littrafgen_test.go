@@ -1,8 +1,12 @@
 package littrafgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mobiletraffic/internal/core"
@@ -166,8 +170,8 @@ func TestGeneratorNormalizePerCategory(t *testing.T) {
 
 // TestSubstreamDeterministic pins the benchmark substream contract:
 // cells are pure functions of (master seed, a, b) — creation order and
-// sibling draws never change a cell — scales carry over, the parent
-// stream is untouched, and v1 generators are rejected.
+// sibling draws never change a cell — scales carry over, and the parent
+// stream is untouched.
 func TestSubstreamDeterministic(t *testing.T) {
 	g := NewGenerator(BMAShares(), 321)
 	g.NormalizeTotal(5e6)
@@ -206,9 +210,59 @@ func TestSubstreamDeterministic(t *testing.T) {
 	if a, b := g.Sample(), fresh.Sample(); a != b {
 		t.Errorf("parent stream perturbed by substream derivation: %+v vs %+v", a, b)
 	}
+}
 
-	v1 := NewGeneratorEngine(BMAShares(), 321, core.GenV1)
-	if _, err := v1.Substream(0, 0); err == nil {
-		t.Error("Substream on a v1 generator did not error")
+// TestNewGeneratorEngineRejectsV1 pins the version argument: "" and
+// core.GenV2 build the generator NewGenerator builds, and any other
+// value panics with a message naming the removal of v1.
+func TestNewGeneratorEngineRejectsV1(t *testing.T) {
+	want := NewGenerator(BMAShares(), 5).Sample()
+	for _, engine := range []core.Engine{"", core.GenV2} {
+		if got := NewGeneratorEngine(BMAShares(), 5, engine).Sample(); got != want {
+			t.Errorf("engine %q: first draw %+v, NewGenerator's %+v", engine, got, want)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "v1 was removed") {
+			t.Errorf("NewGeneratorEngine(v1) recovered %v, want a panic naming the removal", r)
+		}
+	}()
+	NewGeneratorEngine(BMAShares(), 5, "v1")
+}
+
+// TestGeneratorGoldenStream pins the v2 benchmark generator byte for
+// byte: the parent stream's Sample draws (with a bm_b volume scale),
+// SampleCategory draws, and two keyed Substream cells. The digests were
+// captured before the v1 engine was retired; any change to a draw, its
+// order or the category constants breaks them.
+func TestGeneratorGoldenStream(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	w := func(s Session) {
+		for _, v := range []uint64{uint64(s.Category), math.Float64bits(s.Volume), math.Float64bits(s.Duration), math.Float64bits(s.Throughput)} {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+	}
+	g := NewGenerator(BMBShares(), 42)
+	g.NormalizeTotal(4e6)
+	for i := 0; i < 2000; i++ {
+		w(g.Sample())
+	}
+	for i := 0; i < 300; i++ {
+		w(g.SampleCategory(Category(i % NumCategories)))
+	}
+	for _, cell := range [][2]uint64{{0, 0}, {7, 3}} {
+		sub, err := g.Substream(cell[0], cell[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			w(sub.Sample())
+		}
+	}
+	const golden = "aeea529469ce5136b01e9363aaa3cf5703a5bde93487f2cfa85ab3fb00cf31ab"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Errorf("benchmark generator stream drifted: got %s, want %s", got, golden)
 	}
 }

@@ -246,8 +246,10 @@ func TestDenseCollectorMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ObserveBatch(sessions); err != nil {
-			t.Fatal(err)
+		for _, s := range sessions {
+			if err := c.Observe(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 		o := newMapOracle(numSvc, c.VolumeEdges, c.DurationEdges)
 		for _, s := range sessions {

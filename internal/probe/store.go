@@ -384,18 +384,6 @@ func (c *Collector) Observe(s netsim.Session) error {
 	return nil
 }
 
-// ObserveBatch folds a batch of sessions, stopping at the first
-// invalid one. It is the bulk counterpart of Observe for batched
-// generation (netsim.GenerateDayBatch).
-func (c *Collector) ObserveBatch(batch []netsim.Session) error {
-	for i := range batch {
-		if err := c.Observe(batch[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ObserveColumns folds one (BS, day) of columnar sessions — the
 // Minute/Svc/Volume/Duration columns of a netsim.DayColumns — into the
 // statistics. It is the columnar counterpart of Observe with the
@@ -419,8 +407,8 @@ func (c *Collector) ObserveBatch(batch []netsim.Session) error {
 // The grouping is trusted to describe Svc and the value-column layout
 // (netsim maintains both); ObserveColumns verifies only its structural
 // invariants and falls back to the ungrouped fold when they do not
-// hold. Unlike Observe/ObserveBatch, the columns are validated up
-// front and nothing is folded when any session is invalid.
+// hold. Unlike Observe, the columns are validated up front and nothing
+// is folded when any session is invalid.
 func (c *Collector) ObserveColumns(bs, day int, cols *netsim.DayColumns) error {
 	if cols == nil {
 		return fmt.Errorf("probe: nil DayColumns")

@@ -37,6 +37,7 @@ import (
 	"io"
 
 	"mobiletraffic/internal/core"
+	"mobiletraffic/internal/experiments"
 	"mobiletraffic/internal/faults"
 	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/probe"
@@ -65,14 +66,10 @@ type (
 	// GenSession is one generated session: volume, duration and mean
 	// throughput.
 	GenSession = core.GenSession
-	// GenEngine selects the generation-engine stream version: GenV1
-	// replays the historical math/rand stream byte for byte, GenV2 is
-	// the fast table-driven default.
-	GenEngine = core.Engine
 	// CampaignSpec describes a parallel generation campaign: a grid of
 	// (BS, day) cells, each drawing from its own keyed substream, so
 	// Generator.GenerateCampaign output is bit-identical for every
-	// worker count (GenV2 only).
+	// worker count.
 	CampaignSpec = core.CampaignSpec
 	// DayBlock is one (BS, day) cell of campaign output in columnar
 	// layout with a CSR per-minute index.
@@ -91,28 +88,11 @@ type (
 	FaultConfig = faults.Config
 )
 
-// Generation engine versions accepted by NewGeneratorEngine.
-const (
-	GenV1 = core.GenV1
-	GenV2 = core.GenV2
-)
-
 // NewGenerator validates a model set and returns a deterministic
-// session generator on the default engine (GenV2).
+// session generator.
 func NewGenerator(set *ModelSet, seed int64) (*Generator, error) {
 	return core.NewGenerator(set, seed)
 }
-
-// NewGeneratorEngine is NewGenerator with an explicit generation
-// engine: GenV1 for the historical byte-for-byte stream, GenV2 for the
-// fast table-driven default.
-func NewGeneratorEngine(set *ModelSet, seed int64, engine GenEngine) (*Generator, error) {
-	return core.NewGeneratorEngine(set, seed, engine)
-}
-
-// ParseGenEngine validates a generation-engine version string ("" and
-// "v2" select the default, "v1" the historical stream).
-func ParseGenEngine(s string) (GenEngine, error) { return core.ParseEngine(s) }
 
 // ParseModels reads a released parameter file (JSON).
 func ParseModels(data []byte) (*ModelSet, error) { return core.ModelSetFromJSON(data) }
@@ -150,10 +130,6 @@ type SimulationConfig struct {
 	// MoveProb is the share of transient (mobility-truncated) sessions;
 	// negative disables mobility.
 	MoveProb float64
-	// Sampler selects the synthesis-engine stream version: "" or "v2"
-	// for the fast table-driven default, "v1" for the historical
-	// byte-for-byte session stream (see netsim.Sampler).
-	Sampler string
 }
 
 // FitFromSimulation runs the bundled measurement simulation (a
@@ -185,12 +161,8 @@ func FitFromSimulationFaulty(cfg SimulationConfig, f FaultConfig) (*ModelSet, *F
 	if err != nil {
 		return nil, nil, err
 	}
-	sampler, err := netsim.ParseSampler(cfg.Sampler)
-	if err != nil {
-		return nil, nil, err
-	}
 	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{
-		Days: cfg.Days, Seed: cfg.Seed, MoveProb: cfg.MoveProb, Sampler: sampler,
+		Days: cfg.Days, Seed: cfg.Seed, MoveProb: cfg.MoveProb,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -199,21 +171,9 @@ func FitFromSimulationFaulty(cfg SimulationConfig, f FaultConfig) (*ModelSet, *F
 	if err != nil {
 		return nil, nil, err
 	}
-	coll, err := probe.NewCollector(len(sim.Services))
+	coll, err := experiments.Collect(sim, cfg.Days, inj)
 	if err != nil {
 		return nil, nil, err
-	}
-	var obsErr error
-	yield := inj.Wrap(func(s netsim.Session) {
-		if obsErr == nil {
-			obsErr = coll.Observe(s)
-		}
-	})
-	if err := sim.GenerateAll(yield); err != nil {
-		return nil, nil, err
-	}
-	if obsErr != nil {
-		return nil, nil, obsErr
 	}
 	set, report, err := core.FitServiceModelsReport(coll, sim.Services, nil)
 	if err != nil {

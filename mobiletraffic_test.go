@@ -5,6 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mobiletraffic/internal/core"
+	"mobiletraffic/internal/faults"
+	"mobiletraffic/internal/netsim"
+	"mobiletraffic/internal/probe"
 )
 
 func TestFitFromSimulationAndGenerate(t *testing.T) {
@@ -176,5 +181,88 @@ func TestFitFromSimulationFaulty(t *testing.T) {
 	}
 	if cleanReport.Degraded() {
 		t.Errorf("pristine campaign reported degradation: %s", cleanReport.Summary())
+	}
+}
+
+// serialFitOracle is the reference for FitFromSimulationFaulty: the
+// campaign generated session by session with GenerateDay (days
+// outermost), routed through the serial fault wrapper into the scalar
+// Observe path, then fitted exactly as the facade fits.
+func serialFitOracle(t *testing.T, cfg SimulationConfig, f FaultConfig) *ModelSet {
+	t.Helper()
+	topo, err := netsim.NewTopology(netsim.TopologyConfig{NumBS: cfg.NumBS, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{Days: cfg.Days, Seed: cfg.Seed, MoveProb: cfg.MoveProb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.New(f, len(sim.Services))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := probe.NewCollector(len(sim.Services))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obsErr error
+	yield := inj.Wrap(func(s netsim.Session) {
+		if obsErr == nil {
+			obsErr = coll.Observe(s)
+		}
+	})
+	for day := 0; day < cfg.Days; day++ {
+		for bs := range topo.BSs {
+			if err := sim.GenerateDay(bs, day, yield); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if obsErr != nil {
+		t.Fatal(obsErr)
+	}
+	set, _, err := core.FitServiceModelsReport(coll, sim.Services, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Arrivals, _, err = core.FitArrivalsByDecileReport(coll, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestFitFromSimulationFaultyMatchesSerialOracle pins the facade's
+// fitted models, byte for byte as JSON, to the serial session-by-
+// session oracle at two seeds, on a pristine and a fault-injected
+// campaign.
+func TestFitFromSimulationFaultyMatchesSerialOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	faulty := FaultConfig{
+		OutageProb: 0.2, TruncatedDayProb: 0.1, FlowLossProb: 0.05,
+		FlowDupProb: 0.02, SignalGapProb: 0.03, MisclassProb: 0.02, Seed: 9,
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, f := range []FaultConfig{{}, faulty} {
+			cfg := SimulationConfig{NumBS: 12, Days: 2, Seed: seed}
+			got, _, err := FitFromSimulationFaulty(cfg, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := got.ToJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := serialFitOracle(t, cfg, f).ToJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("seed %d, faults %+v: facade models differ from the serial oracle", seed, f)
+			}
+		}
 	}
 }
